@@ -38,7 +38,7 @@ fn fnv1a(s: &str) -> u64 {
 /// The DHT key a description is indexed under, if it has one.
 pub fn dht_key_of_description(d: &Description) -> Option<String> {
     match d {
-        Description::Uri(u) => Some(u.clone()),
+        Description::Uri(u) => Some(u.to_string()),
         Description::Template(t) => t.type_uri.clone().or_else(|| t.name.clone()),
         // Only the category concept is hashable; everything else in the
         // profile is invisible to a hash index.
@@ -49,7 +49,7 @@ pub fn dht_key_of_description(d: &Description) -> Option<String> {
 /// The DHT key a query routes by, if it has one.
 pub fn dht_key_of_payload(p: &QueryPayload) -> Option<String> {
     match p {
-        QueryPayload::Uri(u) => Some(u.clone()),
+        QueryPayload::Uri(u) => Some(u.to_string()),
         QueryPayload::Template(t) => t.type_uri.clone().or_else(|| t.name.clone()),
         QueryPayload::Semantic(r) => r.category.map(|c| format!("cat:{}", c.0)),
     }
@@ -336,7 +336,7 @@ mod tests {
             lans[1],
             Box::new(ServiceNode::new(
                 ServiceConfig::default(),
-                vec![Description::Semantic(ServiceProfile::new("radar", radar_svc))],
+                vec![Description::Semantic(ServiceProfile::new("radar", radar_svc).into())],
                 Some(idx.clone()),
             )),
         );
@@ -347,7 +347,7 @@ mod tests {
         sim.with_node::<ClientNode>(c, |cl, ctx| {
             cl.issue_query(
                 ctx,
-                QueryPayload::Semantic(ServiceRequest::for_category(radar_svc)),
+                QueryPayload::Semantic(ServiceRequest::for_category(radar_svc).into()),
                 QueryOptions::default(),
             );
         });
@@ -355,7 +355,7 @@ mod tests {
         sim.with_node::<ClientNode>(c, |cl, ctx| {
             cl.issue_query(
                 ctx,
-                QueryPayload::Semantic(ServiceRequest::for_category(surveil)),
+                QueryPayload::Semantic(ServiceRequest::for_category(surveil).into()),
                 QueryOptions::default(),
             );
         });
@@ -377,7 +377,9 @@ mod tests {
             // No category at all: nothing to hash.
             cl.issue_query(
                 ctx,
-                QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[ClassId(1)])),
+                QueryPayload::Semantic(
+                    ServiceRequest::default().with_outputs(&[ClassId(1)]).into(),
+                ),
                 QueryOptions::default(),
             );
         });

@@ -62,7 +62,7 @@ fn bench_matchmaker(h: &mut Harness) {
             .descriptions
             .iter()
             .map(|d| match d {
-                Description::Semantic(p) => p.clone(),
+                Description::Semantic(p) => (**p).clone(),
                 _ => unreachable!(),
             })
             .collect();
@@ -215,8 +215,9 @@ fn bench_registry_index(h: &mut Harness) {
     for a in &adverts {
         store.publish(a.clone(), NodeId(0), 0, u64::MAX, 0);
     }
-    let payload =
-        sds_protocol::QueryPayload::Semantic(ServiceRequest::for_category(classes.surveillance));
+    let payload = sds_protocol::QueryPayload::Semantic(
+        ServiceRequest::for_category(classes.surveillance).into(),
+    );
     g.bench("candidates_semantic_1k", |b| {
         b.iter(|| black_box(store.candidates(&payload, Some(&idx)).len()))
     });

@@ -72,9 +72,9 @@ fn run(model: ModelId, rate_kbps: u32, compression: Compression, seed: u64) -> (
         let payload = match q {
             QueryPayload::Semantic(req) => {
                 // Keep the request answerable: offer the common inputs.
-                let mut req: ServiceRequest = req.clone();
+                let mut req: ServiceRequest = (**req).clone();
                 req.provided_inputs = vec![classes.area_of_interest, classes.unit_id];
-                QueryPayload::Semantic(req)
+                QueryPayload::Semantic(req.into())
             }
             other => other.clone(),
         };

@@ -64,7 +64,8 @@ fn need_recall(model: ModelId, enumerate: bool, seed: u64) -> (usize, f64) {
         (ModelId::Semantic, _) => {
             vec![QueryPayload::Semantic(
                 ServiceRequest::for_category(c.surveillance)
-                    .with_provided_inputs(&[c.area_of_interest, c.unit_id]),
+                    .with_provided_inputs(&[c.area_of_interest, c.unit_id])
+                    .into(),
             )]
         }
         (ModelId::Uri, false) => vec![QueryPayload::Uri("urn:svc:SurveillanceService".into())],
@@ -72,19 +73,19 @@ fn need_recall(model: ModelId, enumerate: bool, seed: u64) -> (usize, f64) {
             QueryPayload::Uri("urn:svc:RadarService".into()),
             QueryPayload::Uri("urn:svc:SonarService".into()),
         ],
-        (ModelId::Template, false) => vec![QueryPayload::Template(DescriptionTemplate {
+        (ModelId::Template, false) => vec![QueryPayload::Template(Arc::new(DescriptionTemplate {
             type_uri: Some("urn:svc:SurveillanceService".into()),
             ..Default::default()
-        })],
+        }))],
         (ModelId::Template, true) => vec![
-            QueryPayload::Template(DescriptionTemplate {
+            QueryPayload::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some("urn:svc:RadarService".into()),
                 ..Default::default()
-            }),
-            QueryPayload::Template(DescriptionTemplate {
+            })),
+            QueryPayload::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some("urn:svc:SonarService".into()),
                 ..Default::default()
-            }),
+            })),
         ],
     };
 

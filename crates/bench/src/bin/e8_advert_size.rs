@@ -5,6 +5,8 @@
 //! mitigation, "compression or binary XML versions to reduce the burden on
 //! the network", pays off most for the big semantic payloads.
 
+use std::sync::Arc;
+
 use sds_bench::Table;
 use sds_protocol::{
     Advertisement, Codec, Compression, Description, DescriptionTemplate, DiscoveryMessage,
@@ -29,7 +31,7 @@ fn semantic(outputs: usize, inputs: usize, qos: usize) -> Description {
     for _ in 0..qos {
         p = p.with_qos(QosKey::Accuracy, 0.9);
     }
-    Description::Semantic(p)
+    Description::Semantic(p.into())
 }
 
 fn main() {
@@ -40,14 +42,14 @@ fn main() {
         ("URI", Description::Uri("urn:svc:BlueForceTrackingService".into())),
         (
             "template (2 attrs)",
-            Description::Template(DescriptionTemplate {
+            Description::Template(Arc::new(DescriptionTemplate {
                 name: Some("blueforce-tracker".into()),
                 type_uri: Some("urn:svc:BlueForceTrackingService".into()),
                 attrs: vec![
                     ("area".into(), "sector-2".into()),
                     ("rate".into(), "1hz".into()),
                 ],
-            }),
+            })),
         ),
         ("semantic (1 out)", semantic(1, 0, 0)),
         ("semantic (2 out, 1 in, 1 qos)", semantic(2, 1, 1)),

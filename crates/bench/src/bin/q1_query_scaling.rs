@@ -50,17 +50,17 @@ fn taxonomy() -> (Ontology, Vec<ClassId>, ClassId) {
 
 fn advert(model: ModelId, i: usize, leaves: &[ClassId], rng: &mut Rng) -> Advertisement {
     let description = match model {
-        ModelId::Uri => Description::Uri(format!("urn:svc:q1-{i}")),
-        ModelId::Template => Description::Template(DescriptionTemplate {
+        ModelId::Uri => Description::Uri(format!("urn:svc:q1-{i}").into()),
+        ModelId::Template => Description::Template(Arc::new(DescriptionTemplate {
             name: Some(format!("svc{i}")),
             type_uri: Some(format!("urn:type:{}", rng.gen_range(0..TEMPLATE_TYPES))),
             attrs: Vec::new(),
-        }),
+        })),
         ModelId::Semantic => {
             let cat = leaves[rng.gen_range(0..leaves.len() as u64) as usize];
             let out = leaves[rng.gen_range(0..leaves.len() as u64) as usize];
             Description::Semantic(
-                ServiceProfile::new(format!("svc{i}"), cat).with_outputs(&[out]),
+                ServiceProfile::new(format!("svc{i}"), cat).with_outputs(&[out]).into(),
             )
         }
     };
@@ -70,12 +70,14 @@ fn advert(model: ModelId, i: usize, leaves: &[ClassId], rng: &mut Rng) -> Advert
 /// The selective query for `model` against a store of `n` adverts.
 fn query(model: ModelId, n: usize, query_category: ClassId) -> QueryMessage {
     let payload = match model {
-        ModelId::Uri => QueryPayload::Uri(format!("urn:svc:q1-{}", n / 2)),
-        ModelId::Template => QueryPayload::Template(DescriptionTemplate {
+        ModelId::Uri => QueryPayload::Uri(format!("urn:svc:q1-{}", n / 2).into()),
+        ModelId::Template => QueryPayload::Template(Arc::new(DescriptionTemplate {
             type_uri: Some("urn:type:0".into()),
             ..Default::default()
-        }),
-        ModelId::Semantic => QueryPayload::Semantic(ServiceRequest::for_category(query_category)),
+        })),
+        ModelId::Semantic => {
+            QueryPayload::Semantic(ServiceRequest::for_category(query_category).into())
+        }
     };
     // Clients cap responses in every deployed configuration (E2: response
     // implosion), so the benchmarked query does too; this also exercises the

@@ -75,17 +75,17 @@ fn taxonomy() -> (Ontology, Vec<ClassId>, Vec<ClassId>) {
 
 fn advert(i: usize, leaves: &[ClassId], rng: &mut Rng) -> Advertisement {
     let description = match i % 3 {
-        0 => Description::Uri(format!("urn:svc:q2-{i}")),
-        1 => Description::Template(DescriptionTemplate {
+        0 => Description::Uri(format!("urn:svc:q2-{i}").into()),
+        1 => Description::Template(Arc::new(DescriptionTemplate {
             name: Some(format!("svc{i}")),
             type_uri: Some(format!("urn:type:{}", rng.gen_range(0..TEMPLATE_TYPES))),
             attrs: Vec::new(),
-        }),
+        })),
         _ => {
             let cat = leaves[rng.gen_range(0..leaves.len() as u64) as usize];
             let out = leaves[rng.gen_range(0..leaves.len() as u64) as usize];
             Description::Semantic(
-                ServiceProfile::new(format!("svc{i}"), cat).with_outputs(&[out]),
+                ServiceProfile::new(format!("svc{i}"), cat).with_outputs(&[out]).into(),
             )
         }
     };
@@ -99,13 +99,13 @@ fn query_pool(n: usize, categories: &[ClassId], rng: &mut Rng) -> Vec<QueryPaylo
         .map(|i| match i % 4 {
             0 | 1 => {
                 let cat = categories[rng.gen_range(0..categories.len() as u64) as usize];
-                QueryPayload::Semantic(ServiceRequest::for_category(cat))
+                QueryPayload::Semantic(ServiceRequest::for_category(cat).into())
             }
-            2 => QueryPayload::Uri(format!("urn:svc:q2-{}", rng.gen_range(0..n as u64))),
-            _ => QueryPayload::Template(DescriptionTemplate {
+            2 => QueryPayload::Uri(format!("urn:svc:q2-{}", rng.gen_range(0..n as u64)).into()),
+            _ => QueryPayload::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some(format!("urn:type:{}", rng.gen_range(0..TEMPLATE_TYPES))),
                 ..Default::default()
-            }),
+            })),
         })
         .collect()
 }

@@ -73,7 +73,7 @@ impl World {
 }
 
 fn radar_profile(svc_cat: ClassId, radar: ClassId) -> Description {
-    Description::Semantic(ServiceProfile::new("radar-feed", svc_cat).with_outputs(&[radar]))
+    Description::Semantic(ServiceProfile::new("radar-feed", svc_cat).with_outputs(&[radar]).into())
 }
 
 #[test]
@@ -185,7 +185,7 @@ fn federation_connects_lans() {
 
     // Semantic query for Sensor output: the remote Radar service plugs in.
     let req = ServiceRequest::default().with_outputs(&[w.sensor]);
-    w.query(c, QueryPayload::Semantic(req), QueryOptions::default());
+    w.query(c, QueryPayload::Semantic(req.into()), QueryOptions::default());
     w.sim.run_until(secs(8));
     let results = w.results(c);
     assert_eq!(results.len(), 1);

@@ -35,7 +35,7 @@ fn subscription_notifies_on_future_publish() {
     sim.with_node::<ClientNode>(c, |cl, ctx| {
         sub_id = cl.subscribe(
             ctx,
-            QueryPayload::Semantic(ServiceRequest::for_category(surveil)),
+            QueryPayload::Semantic(ServiceRequest::for_category(surveil).into()),
             60_000,
         );
     });
@@ -49,7 +49,7 @@ fn subscription_notifies_on_future_publish() {
         lan,
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Semantic(ServiceProfile::new("late-radar", radar))],
+            vec![Description::Semantic(ServiceProfile::new("late-radar", radar).into())],
             Some(idx.clone()),
         )),
     );
@@ -88,7 +88,7 @@ fn unsubscribe_stops_notifications() {
     sim.with_node::<ClientNode>(c, |cl, ctx| {
         sub_id = cl.subscribe(
             ctx,
-            QueryPayload::Semantic(ServiceRequest::for_category(surveil)),
+            QueryPayload::Semantic(ServiceRequest::for_category(surveil).into()),
             60_000,
         );
     });
@@ -102,7 +102,7 @@ fn unsubscribe_stops_notifications() {
         lan,
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Semantic(ServiceProfile::new("radar", radar))],
+            vec![Description::Semantic(ServiceProfile::new("radar", radar).into())],
             Some(idx),
         )),
     );
@@ -121,7 +121,8 @@ fn expired_subscription_is_purged_and_silent() {
     sim.run_until(secs(1));
     sim.with_node::<ClientNode>(c, |cl, ctx| {
         // A 3-second lease that the client never renews.
-        cl.subscribe(ctx, QueryPayload::Semantic(ServiceRequest::for_category(surveil)), 3_000);
+        let payload = QueryPayload::Semantic(ServiceRequest::for_category(surveil).into());
+        cl.subscribe(ctx, payload, 3_000);
     });
     sim.run_until(secs(8));
     assert_eq!(sim.handler::<RegistryNode>(r).unwrap().subscription_count(), 0, "lease expired");
@@ -129,7 +130,7 @@ fn expired_subscription_is_purged_and_silent() {
         lan,
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Semantic(ServiceProfile::new("radar", radar))],
+            vec![Description::Semantic(ServiceProfile::new("radar", radar).into())],
             Some(idx),
         )),
     );
@@ -196,7 +197,10 @@ fn registry_plans_service_chains_end_to_end() {
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
             vec![Description::Semantic(
-                ServiceProfile::new("radar", svc).with_inputs(&[aoi]).with_outputs(&[radar_raw]),
+                ServiceProfile::new("radar", svc)
+                    .with_inputs(&[aoi])
+                    .with_outputs(&[radar_raw])
+                    .into(),
             )],
             Some(idx.clone()),
         )),
@@ -206,7 +210,10 @@ fn registry_plans_service_chains_end_to_end() {
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
             vec![Description::Semantic(
-                ServiceProfile::new("fusion", svc).with_inputs(&[raw]).with_outputs(&[track]),
+                ServiceProfile::new("fusion", svc)
+                    .with_inputs(&[raw])
+                    .with_outputs(&[track])
+                    .into(),
             )],
             Some(idx.clone()),
         )),
@@ -219,7 +226,10 @@ fn registry_plans_service_chains_end_to_end() {
         cl.issue_query(
             ctx,
             QueryPayload::Semantic(
-                ServiceRequest::default().with_outputs(&[track]).with_provided_inputs(&[aoi]),
+                ServiceRequest::default()
+                    .with_outputs(&[track])
+                    .with_provided_inputs(&[aoi])
+                    .into(),
             ),
             QueryOptions::default(),
         );

@@ -306,9 +306,9 @@ fn write_description(w: &mut Writer, d: &Description) {
 fn read_description(r: &mut Reader<'_>) -> R<Description> {
     let tag = r.u8()?;
     match ModelId::from_wire_tag(tag).ok_or(DecodeError::InvalidTag { what: "model", tag })? {
-        ModelId::Uri => Ok(Description::Uri(r.str()?)),
-        ModelId::Template => Ok(Description::Template(read_template(r)?)),
-        ModelId::Semantic => Ok(Description::Semantic(read_profile(r)?)),
+        ModelId::Uri => Ok(Description::Uri(r.str()?.into())),
+        ModelId::Template => Ok(Description::Template(read_template(r)?.into())),
+        ModelId::Semantic => Ok(Description::Semantic(read_profile(r)?.into())),
     }
 }
 
@@ -324,9 +324,9 @@ fn write_payload(w: &mut Writer, p: &QueryPayload) {
 fn read_payload(r: &mut Reader<'_>) -> R<QueryPayload> {
     let tag = r.u8()?;
     match ModelId::from_wire_tag(tag).ok_or(DecodeError::InvalidTag { what: "model", tag })? {
-        ModelId::Uri => Ok(QueryPayload::Uri(r.str()?)),
-        ModelId::Template => Ok(QueryPayload::Template(read_template(r)?)),
-        ModelId::Semantic => Ok(QueryPayload::Semantic(read_request(r)?)),
+        ModelId::Uri => Ok(QueryPayload::Uri(r.str()?.into())),
+        ModelId::Template => Ok(QueryPayload::Template(read_template(r)?.into())),
+        ModelId::Semantic => Ok(QueryPayload::Semantic(read_request(r)?.into())),
     }
 }
 
@@ -874,6 +874,8 @@ pub fn decode(bytes: &[u8]) -> R<DiscoveryMessage> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use sds_semantic::QosKey;
 
@@ -978,7 +980,8 @@ mod tests {
                 sds_semantic::ServiceProfile::new("svc", ClassId(2))
                     .with_inputs(&[ClassId(1)])
                     .with_outputs(&[ClassId(4), ClassId(5)])
-                    .with_qos(QosKey::Accuracy, 0.75),
+                    .with_qos(QosKey::Accuracy, 0.75)
+                    .into(),
             ),
             version: 3,
         };
@@ -1007,7 +1010,8 @@ mod tests {
                 ServiceRequest::for_category(ClassId(1))
                     .with_outputs(&[ClassId(2)])
                     .with_provided_inputs(&[ClassId(3)])
-                    .with_qos(QosKey::LatencyMs, 100.0),
+                    .with_qos(QosKey::LatencyMs, 100.0)
+                    .into(),
             ),
             max_responses: Some(5),
             ttl: 3,
@@ -1037,11 +1041,11 @@ mod tests {
                 advert: Advertisement {
                     id: Uuid(1),
                     provider: NodeId(2),
-                    description: Description::Template(DescriptionTemplate {
+                    description: Description::Template(Arc::new(DescriptionTemplate {
                         name: Some("n".into()),
                         type_uri: None,
                         attrs: vec![("k".into(), "v".into())],
-                    }),
+                    })),
                     version: 1,
                 },
                 degree: Degree::PlugIn,

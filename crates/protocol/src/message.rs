@@ -5,6 +5,8 @@
 //! description payload sits behind a [`ModelId`] next-header so the same
 //! distribution protocol carries every description model.
 
+use std::sync::Arc;
+
 use sds_semantic::{ClassId, Degree, ServiceProfile, ServiceRequest};
 use sds_simnet::{NodeId, SimTime};
 
@@ -81,11 +83,17 @@ impl DescriptionTemplate {
 }
 
 /// A service description in one of the pluggable models.
+///
+/// Every variant holds an immutable shared value: cloning a description (and
+/// so an [`Advertisement`] or [`ResponseHit`]) bumps a reference count instead
+/// of deep-copying the profile. Descriptions are never mutated in place; an
+/// update replaces the whole value. `Arc`, not `Rc`, because handlers are
+/// `Send` and the partitioned engine moves domains across threads.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Description {
-    Uri(String),
-    Template(DescriptionTemplate),
-    Semantic(ServiceProfile),
+    Uri(Arc<str>),
+    Template(Arc<DescriptionTemplate>),
+    Semantic(Arc<ServiceProfile>),
 }
 
 impl Description {
@@ -98,12 +106,13 @@ impl Description {
     }
 }
 
-/// A query payload in one of the pluggable models.
+/// A query payload in one of the pluggable models, shared like
+/// [`Description`]: forwarding or caching a query clones a reference count.
 #[derive(Clone, PartialEq, Debug)]
 pub enum QueryPayload {
-    Uri(String),
-    Template(DescriptionTemplate),
-    Semantic(ServiceRequest),
+    Uri(Arc<str>),
+    Template(Arc<DescriptionTemplate>),
+    Semantic(Arc<ServiceRequest>),
 }
 
 impl QueryPayload {
@@ -427,7 +436,7 @@ mod tests {
     fn description_reports_its_model() {
         assert_eq!(Description::Uri("urn:x".into()).model(), ModelId::Uri);
         assert_eq!(
-            Description::Template(DescriptionTemplate::default()).model(),
+            Description::Template(DescriptionTemplate::default().into()).model(),
             ModelId::Template
         );
         assert_eq!(QueryPayload::Uri("urn:x".into()).model(), ModelId::Uri);

@@ -9,6 +9,8 @@
 //! OWL-S profile fragments; what matters for the experiments is the *ratio*
 //! between models, which is robust to the exact constants.
 
+use sds_semantic::ServiceRequest;
+
 use crate::message::{
     Advertisement, Description, DescriptionTemplate, DiscoveryMessage, MaintenanceOp, Operation,
     PublishOp, QueryMessage, QueryOp, QueryPayload, ResponseHit, SyncEntry,
@@ -81,15 +83,19 @@ impl WireSize for QueryPayload {
         match self {
             QueryPayload::Uri(u) => URI_DESC_BASE + u.len() as u32,
             QueryPayload::Template(t) => t.body_size(),
-            QueryPayload::Semantic(r) => {
-                REQUEST_BASE
-                    + CONCEPT_REF
-                        * (usize::from(r.category.is_some())
-                            + r.outputs.len()
-                            + r.provided_inputs.len()) as u32
-                    + QOS_ATTR * r.qos.len() as u32
-            }
+            QueryPayload::Semantic(r) => r.body_size(),
         }
+    }
+}
+
+impl WireSize for ServiceRequest {
+    fn body_size(&self) -> u32 {
+        REQUEST_BASE
+            + CONCEPT_REF
+                * (usize::from(self.category.is_some())
+                    + self.outputs.len()
+                    + self.provided_inputs.len()) as u32
+            + QOS_ATTR * self.qos.len() as u32
     }
 }
 
@@ -191,9 +197,7 @@ impl WireSize for QueryOp {
             QueryOp::SubscribeAck { .. } => 56,
             QueryOp::Unsubscribe { .. } => 48,
             QueryOp::Notify { hit, .. } => 48 + hit.body_size(),
-            QueryOp::ComposeRequest { request, .. } => {
-                72 + QueryPayload::Semantic(request.clone()).body_size()
-            }
+            QueryOp::ComposeRequest { request, .. } => 72 + request.body_size(),
             QueryOp::ComposeResponse { chain, .. } => {
                 56 + chain.iter().map(WireSize::body_size).sum::<u32>()
             }
@@ -271,7 +275,7 @@ mod tests {
         Advertisement {
             id: Uuid(1),
             provider: NodeId(0),
-            description: Description::Semantic(p),
+            description: Description::Semantic(p.into()),
             version: 1,
         }
     }

@@ -62,17 +62,17 @@ fn arb_template(rng: &mut Rng) -> DescriptionTemplate {
 
 fn arb_description(rng: &mut Rng) -> Description {
     match rng.gen_range(0..3u32) {
-        0 => Description::Uri(format!("urn:{}", gen::ident(rng, 0, 20))),
-        1 => Description::Template(arb_template(rng)),
-        _ => Description::Semantic(arb_profile(rng)),
+        0 => Description::Uri(format!("urn:{}", gen::ident(rng, 0, 20)).into()),
+        1 => Description::Template(arb_template(rng).into()),
+        _ => Description::Semantic(arb_profile(rng).into()),
     }
 }
 
 fn arb_payload(rng: &mut Rng) -> QueryPayload {
     match rng.gen_range(0..3u32) {
-        0 => QueryPayload::Uri(format!("urn:{}", gen::ident(rng, 0, 20))),
-        1 => QueryPayload::Template(arb_template(rng)),
-        _ => QueryPayload::Semantic(arb_request(rng)),
+        0 => QueryPayload::Uri(format!("urn:{}", gen::ident(rng, 0, 20)).into()),
+        1 => QueryPayload::Template(arb_template(rng).into()),
+        _ => QueryPayload::Semantic(arb_request(rng).into()),
     }
 }
 

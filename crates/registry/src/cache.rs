@@ -325,8 +325,8 @@ mod tests {
         let idx = SubsumptionIndex::build(&o);
 
         let mut c = QueryCache::new(8);
-        let sensor_q = QueryPayload::Semantic(ServiceRequest::for_category(sensor));
-        let weapon_q = QueryPayload::Semantic(ServiceRequest::for_category(weapon));
+        let sensor_q = QueryPayload::Semantic(ServiceRequest::for_category(sensor).into());
+        let weapon_q = QueryPayload::Semantic(ServiceRequest::for_category(weapon).into());
         let uri_q = QueryPayload::Uri("urn:x".into());
         c.insert(cache_key(&sensor_q, None), &sensor_q, vec![], SimTime::MAX, 0);
         c.insert(cache_key(&weapon_q, None), &weapon_q, vec![], SimTime::MAX, 0);
@@ -337,7 +337,7 @@ mod tests {
         let radar_advert = Advertisement {
             id: Uuid(9),
             provider: NodeId(2),
-            description: Description::Semantic(ServiceProfile::new("r", radar)),
+            description: Description::Semantic(ServiceProfile::new("r", radar).into()),
             version: 1,
         };
         assert_eq!(c.invalidate_for_advert(&radar_advert, Some(&idx)), 1);

@@ -180,10 +180,10 @@ impl RegistryEngine {
             .map(|s| &s.advert)
             .filter(|a| matches!(a.description, sds_protocol::Description::Semantic(_)))
             .collect();
-        let profiles: Vec<sds_semantic::ServiceProfile> = live
+        let profiles: Vec<&sds_semantic::ServiceProfile> = live
             .iter()
             .map(|a| match &a.description {
-                sds_protocol::Description::Semantic(p) => p.clone(),
+                sds_protocol::Description::Semantic(p) => &**p,
                 _ => unreachable!("filtered above"),
             })
             .collect();
@@ -376,7 +376,7 @@ mod tests {
     fn unsupported_model_silently_discarded() {
         let mut e = engine_with_uri();
         e.publish(uri_advert(1, "urn:a"), NodeId(1), 0, 10_000);
-        let sem = query(QueryPayload::Semantic(ServiceRequest::default()), None);
+        let sem = query(QueryPayload::Semantic(ServiceRequest::default().into()), None);
         assert!(e.evaluate(&sem, 0).is_empty());
         assert!(!e.supports(ModelId::Semantic));
         assert!(e.supports(ModelId::Uri));
@@ -398,14 +398,14 @@ mod tests {
                 id: Uuid(i as u128 + 1),
                 provider: NodeId(1),
                 description: Description::Semantic(
-                    ServiceProfile::new(format!("s{i}"), svc).with_outputs(&[*out]),
+                    ServiceProfile::new(format!("s{i}"), svc).with_outputs(&[*out]).into(),
                 ),
                 version: 1,
             };
             e.publish(advert, NodeId(1), 0, 60_000);
         }
         let q = query(
-            QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[air])),
+            QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[air]).into()),
             Some(2),
         );
         let hits = e.evaluate(&q, 1_000);

@@ -129,27 +129,27 @@ mod tests {
         );
         assert_eq!(e.evaluate(&QueryPayload::Uri("urn:svc:mail".into()), &a), None);
         // Cross-model advert silently ignored.
-        let t = advert(Description::Template(DescriptionTemplate::default()));
+        let t = advert(Description::Template(DescriptionTemplate::default().into()));
         assert_eq!(e.evaluate(&QueryPayload::Uri("urn:svc:chat".into()), &t), None);
     }
 
     #[test]
     fn template_evaluator_partial_match() {
         let e = TemplateEvaluator;
-        let a = advert(Description::Template(DescriptionTemplate {
+        let a = advert(Description::Template(Arc::new(DescriptionTemplate {
             name: Some("tracker".into()),
             type_uri: Some("urn:svc:tracking".into()),
             attrs: vec![],
-        }));
-        let q = QueryPayload::Template(DescriptionTemplate {
+        })));
+        let q = QueryPayload::Template(Arc::new(DescriptionTemplate {
             type_uri: Some("urn:svc:tracking".into()),
             ..Default::default()
-        });
+        }));
         assert_eq!(e.evaluate(&q, &a), Some((Degree::Exact, 0)));
-        let miss = QueryPayload::Template(DescriptionTemplate {
+        let miss = QueryPayload::Template(Arc::new(DescriptionTemplate {
             name: Some("other".into()),
             ..Default::default()
-        });
+        }));
         assert_eq!(e.evaluate(&miss, &a), None);
     }
 
@@ -164,13 +164,13 @@ mod tests {
         assert_eq!(e.model(), ModelId::Semantic);
 
         let a = advert(Description::Semantic(
-            ServiceProfile::new("radar-feed", svc).with_outputs(&[radar]),
+            ServiceProfile::new("radar-feed", svc).with_outputs(&[radar]).into(),
         ));
         // Asking for Sensor output: Radar output plugs in.
-        let q = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[sensor]));
+        let q = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[sensor]).into());
         assert_eq!(e.evaluate(&q, &a), Some((Degree::PlugIn, 1)));
         // Unrelated request fails.
-        let q2 = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[svc]));
+        let q2 = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[svc]).into());
         assert_eq!(e.evaluate(&q2, &a), None);
     }
 }

@@ -210,6 +210,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use sds_protocol::{DescriptionTemplate, Uuid};
     use sds_semantic::{Ontology, ServiceProfile, ServiceRequest};
@@ -259,7 +261,7 @@ mod tests {
             id: Uuid(1),
             provider: NodeId(1),
             description: Description::Semantic(
-                ServiceProfile::new("s", category).with_outputs(outputs),
+                ServiceProfile::new("s", category).with_outputs(outputs).into(),
             ),
             version: 1,
         }
@@ -274,11 +276,11 @@ mod tests {
         for shards in [1usize, 2, 4, 8] {
             let r = ShardRouter::new(shards, Some(&idx));
             // Category query vs related-category advert.
-            let q = QueryPayload::Semantic(ServiceRequest::for_category(sensor));
+            let q = QueryPayload::Semantic(ServiceRequest::for_category(sensor).into());
             let Route::One(s) = r.route(&q) else { panic!("category query routes to one") };
             assert_ne!(r.home_mask(&sem_advert(radar, &[])) & (1 << s), 0);
             // Output-only query vs advert producing a related output.
-            let q = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[fly]));
+            let q = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[fly]).into());
             let Route::One(s) = r.route(&q) else { panic!("output query routes to one") };
             assert_ne!(r.home_mask(&sem_advert(sensor, &[mv])) & (1 << s), 0);
             // URI equality.
@@ -296,16 +298,16 @@ mod tests {
             let t = Advertisement {
                 id: Uuid(3),
                 provider: NodeId(1),
-                description: Description::Template(DescriptionTemplate {
+                description: Description::Template(Arc::new(DescriptionTemplate {
                     type_uri: Some("urn:t".into()),
                     ..Default::default()
-                }),
+                })),
                 version: 1,
             };
-            let tq = QueryPayload::Template(DescriptionTemplate {
+            let tq = QueryPayload::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some("urn:t".into()),
                 ..Default::default()
-            });
+            }));
             let Route::One(s) = r.route(&tq) else { panic!("typed template routes to one") };
             assert_eq!(r.home_mask(&t), 1 << s);
         }
@@ -316,9 +318,9 @@ mod tests {
         let (o, _) = two_trees();
         let idx = SubsumptionIndex::build(&o);
         let r = ShardRouter::new(4, Some(&idx));
-        let open_template = QueryPayload::Template(DescriptionTemplate::default());
+        let open_template = QueryPayload::Template(DescriptionTemplate::default().into());
         assert_eq!(r.route(&open_template), Route::Broadcast);
-        let open_semantic = QueryPayload::Semantic(ServiceRequest::default());
+        let open_semantic = QueryPayload::Semantic(ServiceRequest::default().into());
         assert_eq!(r.route(&open_semantic), Route::Broadcast);
     }
 
@@ -327,7 +329,7 @@ mod tests {
         let r = ShardRouter::new(8, None);
         let a = sem_advert(ClassId(3), &[ClassId(9)]);
         assert_eq!(r.home_mask(&a), 1);
-        let q = QueryPayload::Semantic(ServiceRequest::for_category(ClassId(7)));
+        let q = QueryPayload::Semantic(ServiceRequest::for_category(ClassId(7)).into());
         assert_eq!(r.route(&q), Route::One(0));
     }
 

@@ -525,10 +525,10 @@ impl ShardedEngine {
             .map(|s| &s.advert)
             .filter(|a| matches!(a.description, sds_protocol::Description::Semantic(_)))
             .collect();
-        let profiles: Vec<sds_semantic::ServiceProfile> = live
+        let profiles: Vec<&sds_semantic::ServiceProfile> = live
             .iter()
             .map(|a| match &a.description {
-                sds_protocol::Description::Semantic(p) => p.clone(),
+                sds_protocol::Description::Semantic(p) => &**p,
                 _ => unreachable!("filtered above"),
             })
             .collect();

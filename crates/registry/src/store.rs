@@ -5,6 +5,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload};
 use sds_semantic::{ClassId, SubsumptionIndex};
@@ -97,7 +98,7 @@ pub enum PublishOutcome {
 #[derive(Default, Debug)]
 struct SecondaryIndex {
     /// Exact service-type URI → adverts (the URI model matches exactly).
-    by_uri: HashMap<String, BTreeSet<AdvertId>>,
+    by_uri: HashMap<Arc<str>, BTreeSet<AdvertId>>,
     /// Template `type_uri` → adverts carrying that type. Untyped template
     /// adverts appear only in the model bucket; a type-constrained template
     /// query can never match them.
@@ -735,7 +736,8 @@ mod tests {
             provider: NodeId(1),
             description: Description::Semantic(
                 sds_semantic::ServiceProfile::new(format!("s{id}"), category)
-                    .with_outputs(outputs),
+                    .with_outputs(outputs)
+                    .into(),
             ),
             version: 1,
         }
@@ -760,29 +762,29 @@ mod tests {
         let typed = Advertisement {
             id: Uuid(1),
             provider: NodeId(1),
-            description: Description::Template(DescriptionTemplate {
+            description: Description::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some("urn:t".into()),
                 ..Default::default()
-            }),
+            })),
             version: 1,
         };
         let untyped = Advertisement {
             id: Uuid(2),
             provider: NodeId(1),
-            description: Description::Template(DescriptionTemplate {
+            description: Description::Template(Arc::new(DescriptionTemplate {
                 name: Some("n".into()),
                 ..Default::default()
-            }),
+            })),
             version: 1,
         };
         s.publish(typed, NodeId(1), 0, 100, 0);
         s.publish(untyped, NodeId(1), 0, 100, 0);
-        let by_type = QueryPayload::Template(DescriptionTemplate {
+        let by_type = QueryPayload::Template(Arc::new(DescriptionTemplate {
             type_uri: Some("urn:t".into()),
             ..Default::default()
-        });
+        }));
         assert_eq!(s.candidates(&by_type, None).iter().collect::<Vec<_>>(), vec![Uuid(1)]);
-        let open = QueryPayload::Template(DescriptionTemplate::default());
+        let open = QueryPayload::Template(DescriptionTemplate::default().into());
         assert_eq!(
             s.candidates(&open, None).iter().collect::<Vec<_>>(),
             vec![Uuid(1), Uuid(2)],
@@ -805,14 +807,15 @@ mod tests {
         s.publish(sem_advert(2, weapon, &[weapon]), NodeId(1), 0, 100, 0);
         s.publish(sem_advert(3, sensor, &[sensor, radar]), NodeId(1), 0, 100, 0);
 
-        let cat_q = QueryPayload::Semantic(sds_semantic::ServiceRequest::for_category(sensor));
+        let cat_q =
+            QueryPayload::Semantic(sds_semantic::ServiceRequest::for_category(sensor).into());
         assert_eq!(
             s.candidates(&cat_q, Some(&idx)).iter().collect::<Vec<_>>(),
             vec![Uuid(1), Uuid(3)],
             "weapon-category advert pruned"
         );
         let out_q = QueryPayload::Semantic(
-            sds_semantic::ServiceRequest::default().with_outputs(&[radar]),
+            sds_semantic::ServiceRequest::default().with_outputs(&[radar]).into(),
         );
         // Advert 3 appears in both the sensor and radar postings; the union
         // must deduplicate it.
@@ -820,7 +823,7 @@ mod tests {
             s.candidates(&out_q, Some(&idx)).iter().collect::<Vec<_>>(),
             vec![Uuid(1), Uuid(3)]
         );
-        let open = QueryPayload::Semantic(sds_semantic::ServiceRequest::default());
+        let open = QueryPayload::Semantic(sds_semantic::ServiceRequest::default().into());
         assert_eq!(s.candidates(&open, Some(&idx)).len(), 3, "model bucket");
         assert_eq!(s.candidates(&open, None).len(), 3, "no index, model bucket");
     }

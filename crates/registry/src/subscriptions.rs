@@ -10,6 +10,7 @@
 //! requested concepts relate to the new advert instead of all of them.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use sds_protocol::{Advertisement, Description, ModelId, QueryId, QueryPayload};
 use sds_semantic::{ClassId, SubsumptionIndex};
@@ -18,7 +19,7 @@ use sds_semantic::{ClassId, SubsumptionIndex};
 #[derive(Default, Debug)]
 pub struct SubscriptionIndex {
     /// URI subscriptions, by their exact query string.
-    by_uri: HashMap<String, BTreeSet<QueryId>>,
+    by_uri: HashMap<Arc<str>, BTreeSet<QueryId>>,
     /// Template subscriptions constrained on `type_uri`, by that type.
     by_template_type: HashMap<String, BTreeSet<QueryId>>,
     /// Semantic subscriptions constrained on a category, by that concept.
@@ -221,22 +222,22 @@ mod tests {
     #[test]
     fn template_wildcards_always_probed() {
         let mut s = SubscriptionIndex::new();
-        let typed = QueryPayload::Template(DescriptionTemplate {
-            type_uri: Some("urn:t".into()),
-            ..Default::default()
-        });
-        let untyped = QueryPayload::Template(DescriptionTemplate {
-            name: Some("x".into()),
-            ..Default::default()
-        });
-        s.insert(qid(1), &typed);
-        s.insert(qid(2), &untyped);
-        let matching = advert(Description::Template(DescriptionTemplate {
+        let typed = QueryPayload::Template(Arc::new(DescriptionTemplate {
             type_uri: Some("urn:t".into()),
             ..Default::default()
         }));
+        let untyped = QueryPayload::Template(Arc::new(DescriptionTemplate {
+            name: Some("x".into()),
+            ..Default::default()
+        }));
+        s.insert(qid(1), &typed);
+        s.insert(qid(2), &untyped);
+        let matching = advert(Description::Template(Arc::new(DescriptionTemplate {
+            type_uri: Some("urn:t".into()),
+            ..Default::default()
+        })));
         assert_eq!(s.candidates(&matching, None), vec![qid(1), qid(2)]);
-        let untyped_advert = advert(Description::Template(DescriptionTemplate::default()));
+        let untyped_advert = advert(Description::Template(DescriptionTemplate::default().into()));
         assert_eq!(s.candidates(&untyped_advert, None), vec![qid(2)]);
     }
 
@@ -250,16 +251,16 @@ mod tests {
         let idx = SubsumptionIndex::build(&o);
 
         let mut s = SubscriptionIndex::new();
-        s.insert(qid(1), &QueryPayload::Semantic(ServiceRequest::for_category(sensor)));
-        s.insert(qid(2), &QueryPayload::Semantic(ServiceRequest::for_category(weapon)));
+        s.insert(qid(1), &QueryPayload::Semantic(ServiceRequest::for_category(sensor).into()));
+        s.insert(qid(2), &QueryPayload::Semantic(ServiceRequest::for_category(weapon).into()));
         s.insert(
             qid(3),
-            &QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[sensor])),
+            &QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[sensor]).into()),
         );
-        s.insert(qid(4), &QueryPayload::Semantic(ServiceRequest::default()));
+        s.insert(qid(4), &QueryPayload::Semantic(ServiceRequest::default().into()));
 
         let a = advert(Description::Semantic(
-            ServiceProfile::new("r", radar).with_outputs(&[radar]),
+            ServiceProfile::new("r", radar).with_outputs(&[radar]).into(),
         ));
         // Radar relates to Sensor (category sub 1), its output relates to the
         // Sensor request (sub 3), and the unconstrained sub 4 always probes;
@@ -273,7 +274,7 @@ mod tests {
     fn clear_drops_everything() {
         let mut s = SubscriptionIndex::new();
         s.insert(qid(1), &QueryPayload::Uri("urn:a".into()));
-        s.insert(qid(2), &QueryPayload::Semantic(ServiceRequest::default()));
+        s.insert(qid(2), &QueryPayload::Semantic(ServiceRequest::default().into()));
         assert_eq!(s.len(), 2);
         s.clear();
         assert!(s.is_empty());

@@ -67,13 +67,13 @@ fn engine_with_hits(hits: usize) -> (ShardedEngine, QueryPayload) {
             id: Uuid(i as u128 + 1),
             provider: NodeId(i as u32),
             description: Description::Semantic(
-                ServiceProfile::new(format!("svc{i}"), leaf).with_outputs(&[leaf]),
+                ServiceProfile::new(format!("svc{i}"), leaf).with_outputs(&[leaf]).into(),
             ),
             version: 1,
         };
         e.publish(advert, NodeId(0), 0, 1_000_000);
     }
-    (e, QueryPayload::Semantic(ServiceRequest::for_category(cat)))
+    (e, QueryPayload::Semantic(ServiceRequest::for_category(cat).into()))
 }
 
 fn burst(payload: &QueryPayload, copies: usize) -> Vec<QueryMessage> {

@@ -65,8 +65,8 @@ fn arb_template(rng: &mut Rng) -> DescriptionTemplate {
 
 fn arb_description(rng: &mut Rng, ontology_len: u32) -> Description {
     match rng.gen_range(0..3u32) {
-        0 => Description::Uri(format!("urn:u{}", rng.gen_range(0..5u32))),
-        1 => Description::Template(arb_template(rng)),
+        0 => Description::Uri(format!("urn:u{}", rng.gen_range(0..5u32)).into()),
+        1 => Description::Template(arb_template(rng).into()),
         _ => {
             let category = arb_concept(rng, ontology_len);
             let outputs = gen::vec_of(rng, 0, 3, |r| arb_concept(r, ontology_len));
@@ -74,7 +74,8 @@ fn arb_description(rng: &mut Rng, ontology_len: u32) -> Description {
             Description::Semantic(
                 ServiceProfile::new(format!("svc{}", rng.gen_range(0..100u32)), category)
                     .with_outputs(&outputs)
-                    .with_inputs(&inputs),
+                    .with_inputs(&inputs)
+                    .into(),
             )
         }
     }
@@ -82,19 +83,19 @@ fn arb_description(rng: &mut Rng, ontology_len: u32) -> Description {
 
 fn arb_payload(rng: &mut Rng, ontology_len: u32) -> QueryPayload {
     match rng.gen_range(0..3u32) {
-        0 => QueryPayload::Uri(format!("urn:u{}", rng.gen_range(0..5u32))),
-        1 => QueryPayload::Template(arb_template(rng)),
+        0 => QueryPayload::Uri(format!("urn:u{}", rng.gen_range(0..5u32)).into()),
+        1 => QueryPayload::Template(arb_template(rng).into()),
         _ => {
             let category =
                 (rng.gen_range(0..2u32) == 0).then(|| arb_concept(rng, ontology_len));
             let outputs = gen::vec_of(rng, 0, 2, |r| arb_concept(r, ontology_len));
             let provided_inputs = gen::vec_of(rng, 0, 2, |r| arb_concept(r, ontology_len));
-            QueryPayload::Semantic(ServiceRequest {
+            QueryPayload::Semantic(Arc::new(ServiceRequest {
                 category,
                 outputs,
                 provided_inputs,
                 qos: Vec::new(),
-            })
+            }))
         }
     }
 }
@@ -221,17 +222,17 @@ fn unlimited_queries_return_every_live_match() {
             let advert = Advertisement {
                 id: Uuid(u128::from(i)),
                 provider: NodeId(i as u32),
-                description: Description::Semantic(ServiceProfile::new(
+                description: Description::Semantic(Arc::new(ServiceProfile::new(
                     format!("s{i}"),
                     arb_concept(rng, ontology_len),
-                )),
+                ))),
                 version: 1,
             };
             engine.publish(advert, NodeId(1), 0, 60_000);
         }
         let query = QueryMessage {
             id: QueryId { origin: NodeId(9), seq: 1 },
-            payload: QueryPayload::Semantic(ServiceRequest::default()),
+            payload: QueryPayload::Semantic(ServiceRequest::default().into()),
             max_responses: None,
             ttl: 0,
             reply_to: None,

@@ -14,7 +14,7 @@ fn advert(id: u128, version: u32) -> Advertisement {
     Advertisement {
         id: Uuid(id),
         provider: NodeId(id as u32),
-        description: Description::Uri(format!("urn:{id}")),
+        description: Description::Uri(format!("urn:{id}").into()),
         version,
     }
 }

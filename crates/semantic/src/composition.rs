@@ -12,6 +12,8 @@
 //! available concept `A` satisfies a needed concept `N` when `A ⊑ N`
 //! (what you hold *is a* N).
 
+use std::borrow::Borrow;
+
 use crate::matchmaker::Degree;
 use crate::ontology::ClassId;
 use crate::profile::{QosConstraint, ServiceProfile, ServiceRequest};
@@ -57,7 +59,9 @@ fn qos_ok(profile: &ServiceProfile, constraints: &[QosConstraint]) -> bool {
 /// * QoS constraints apply to every step (weakest-link, like matching).
 ///
 /// A single-service plan is returned when one profile suffices, so this
-/// strictly generalizes plain matching on the I/O level.
+/// strictly generalizes plain matching on the I/O level. `profiles` may hold
+/// owned profiles or any shared handle to them (`&ServiceProfile`,
+/// `Arc<ServiceProfile>`), so callers never copy descriptions to plan.
 ///
 /// ```
 /// use sds_semantic::{compose, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
@@ -77,12 +81,13 @@ fn qos_ok(profile: &ServiceProfile, constraints: &[QosConstraint]) -> bool {
 /// let plan = compose(&idx, &req, &profiles, 4).expect("two-step chain");
 /// assert_eq!(plan.steps, vec![0, 1]);
 /// ```
-pub fn compose(
+pub fn compose<P: Borrow<ServiceProfile>>(
     idx: &SubsumptionIndex,
     request: &ServiceRequest,
-    profiles: &[ServiceProfile],
+    profiles: &[P],
     max_depth: usize,
 ) -> Option<CompositionPlan> {
+    let profiles: Vec<&ServiceProfile> = profiles.iter().map(Borrow::borrow).collect();
     // Forward reachability: which profiles fire, at which level, and what
     // concepts become available.
     let mut available: Vec<ClassId> = request.provided_inputs.clone();

@@ -68,10 +68,10 @@ mod tests {
     fn oracle_applies_subsumption() {
         let (ont, c) = battlefield();
         let oracle = Oracle::new(Arc::new(SubsumptionIndex::build(&ont)));
-        let radar = Description::Semantic(ServiceProfile::new("r", c.radar_service));
-        let chat = Description::Semantic(ServiceProfile::new("c", c.chat));
+        let radar = Description::Semantic(ServiceProfile::new("r", c.radar_service).into());
+        let chat = Description::Semantic(ServiceProfile::new("c", c.chat).into());
         let want_surveillance =
-            QueryPayload::Semantic(ServiceRequest::for_category(c.surveillance));
+            QueryPayload::Semantic(ServiceRequest::for_category(c.surveillance).into());
         assert!(oracle.matches(&want_surveillance, &radar));
         assert!(!oracle.matches(&want_surveillance, &chat));
         // Cross-model payloads never match.

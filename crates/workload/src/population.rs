@@ -1,5 +1,7 @@
 //! Service populations and query workloads over the battlefield taxonomy.
 
+use std::sync::Arc;
+
 use sds_rand::{Rng, Seed};
 
 use sds_protocol::{Description, DescriptionTemplate, ModelId, QueryPayload};
@@ -96,17 +98,18 @@ impl Workload {
             .map(|i| {
                 let a = &pool[rng.gen_range(0..pool.len())];
                 match spec.model {
-                    ModelId::Uri => Description::Uri(type_uri(ont, a.category)),
-                    ModelId::Template => Description::Template(DescriptionTemplate {
+                    ModelId::Uri => Description::Uri(type_uri(ont, a.category).into()),
+                    ModelId::Template => Description::Template(Arc::new(DescriptionTemplate {
                         name: Some(format!("svc-{i}")),
                         type_uri: Some(type_uri(ont, a.category)),
                         attrs: vec![("area".into(), format!("sector-{}", rng.gen_range(0..4u32)))],
-                    }),
+                    })),
                     ModelId::Semantic => Description::Semantic(
                         ServiceProfile::new(format!("svc-{i}"), a.category)
                             .with_outputs(&a.outputs)
                             .with_inputs(&a.inputs)
-                            .with_qos(QosKey::Accuracy, 0.5 + 0.5 * rng.gen_f64()),
+                            .with_qos(QosKey::Accuracy, 0.5 + 0.5 * rng.gen_f64())
+                            .into(),
                     ),
                 }
             })
@@ -127,11 +130,11 @@ impl Workload {
     ) -> QueryPayload {
         let a = &pool[rng.gen_range(0..pool.len())];
         match spec.model {
-            ModelId::Uri => QueryPayload::Uri(type_uri(ont, a.category)),
-            ModelId::Template => QueryPayload::Template(DescriptionTemplate {
+            ModelId::Uri => QueryPayload::Uri(type_uri(ont, a.category).into()),
+            ModelId::Template => QueryPayload::Template(Arc::new(DescriptionTemplate {
                 type_uri: Some(type_uri(ont, a.category)),
                 ..Default::default()
-            }),
+            })),
             ModelId::Semantic => {
                 let generalize = rng.gen_bool(spec.generalization_rate);
                 let category = if generalize {
@@ -141,12 +144,12 @@ impl Workload {
                 } else {
                     a.category
                 };
-                QueryPayload::Semantic(
+                QueryPayload::Semantic(Arc::new(
                     ServiceRequest::for_category(category).with_provided_inputs(&[
                         classes.area_of_interest,
                         classes.unit_id,
                     ]),
-                )
+                ))
             }
         }
     }

@@ -55,7 +55,7 @@ fn main() {
             hq,
             Box::new(ServiceNode::new(
                 ServiceConfig::default(),
-                vec![Description::Semantic(profile)],
+                vec![Description::Semantic(profile.into())],
                 Some(index.clone()),
             )),
         );
@@ -74,11 +74,11 @@ fn main() {
         forward,
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Template(DescriptionTemplate {
+            vec![Description::Template(Arc::new(DescriptionTemplate {
                 name: Some("coy-chat".into()),
                 type_uri: Some("urn:svc:ChatService".into()),
                 attrs: vec![("net".into(), "coy-alpha".into())],
-            })],
+            }))],
             None,
         )),
     );
@@ -94,7 +94,8 @@ fn main() {
             QueryPayload::Semantic(
                 ServiceRequest::for_category(c.surveillance)
                     .with_provided_inputs(&[c.area_of_interest])
-                    .with_qos(QosKey::Accuracy, 0.9),
+                    .with_qos(QosKey::Accuracy, 0.9)
+                    .into(),
             ),
             QueryOptions::default(),
         );
@@ -107,10 +108,10 @@ fn main() {
         // Template lookup by attribute.
         cl.issue_query(
             ctx,
-            QueryPayload::Template(DescriptionTemplate {
+            QueryPayload::Template(Arc::new(DescriptionTemplate {
                 attrs: vec![("net".into(), "coy-alpha".into())],
                 ..Default::default()
-            }),
+            })),
             QueryOptions::default(),
         );
     });
@@ -137,7 +138,8 @@ fn main() {
         ServiceProfile::new("long-range-radar", c.radar_service)
             .with_outputs(&[c.radar_data, c.air_track])
             .with_inputs(&[c.area_of_interest])
-            .with_qos(QosKey::Accuracy, 0.95),
+            .with_qos(QosKey::Accuracy, 0.95)
+            .into(),
     );
     let uri_desc = Description::Uri("urn:tdl:link16:surveillance".into());
     println!(

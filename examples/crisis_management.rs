@@ -77,7 +77,7 @@ fn main() {
             lan,
             Box::new(ServiceNode::new(
                 ServiceConfig::default(),
-                vec![Description::Semantic(profile)],
+                vec![Description::Semantic(profile.into())],
                 Some(index.clone()),
             )),
         )
@@ -102,7 +102,7 @@ fn main() {
     sim.with_node::<ClientNode>(commander, |cl, ctx| {
         cl.issue_query(
             ctx,
-            QueryPayload::Semantic(ServiceRequest::for_category(c.medical)),
+            QueryPayload::Semantic(ServiceRequest::for_category(c.medical).into()),
             QueryOptions::default(),
         );
     });
@@ -128,9 +128,7 @@ fn main() {
     sim.with_node::<ClientNode>(commander, |cl, ctx| {
         cl.issue_query(
             ctx,
-            QueryPayload::Semantic(
-                ServiceRequest::for_category(c.search_and_rescue),
-            ),
+            QueryPayload::Semantic(ServiceRequest::for_category(c.search_and_rescue).into()),
             QueryOptions::default(),
         );
     });

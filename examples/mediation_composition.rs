@@ -52,7 +52,7 @@ fn composition_demo() {
             Box::new(ServiceNode::new(
                 ServiceConfig::default(),
                 vec![Description::Semantic(
-                    ServiceProfile::new(name, svc).with_inputs(inputs).with_outputs(outputs),
+                    ServiceProfile::new(name, svc).with_inputs(inputs).with_outputs(outputs).into(),
                 )],
                 Some(idx.clone()),
             )),

@@ -38,7 +38,7 @@ fn main() {
         lan,
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Semantic(radar_profile)],
+            vec![Description::Semantic(radar_profile.into())],
             Some(index.clone()),
         )),
     );
@@ -49,7 +49,7 @@ fn main() {
     sim.run_until(secs(1));
     sim.with_node::<ClientNode>(client, |c, ctx| {
         let request = ServiceRequest::default().with_outputs(&[sensor_data]);
-        c.issue_query(ctx, QueryPayload::Semantic(request), QueryOptions::default());
+        c.issue_query(ctx, QueryPayload::Semantic(request.into()), QueryOptions::default());
     });
     sim.run_until(secs(5));
 

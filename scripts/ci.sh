@@ -9,6 +9,19 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
+# Discovery benchmark guard: perfbench is a package of its own (not a
+# workspace member), so the steps above never build it. Its unit tests plus
+# a one-seed correctness smoke per world keep a protocol or API change from
+# breaking the benchmark silently. `--seconds 0` runs the fixed window
+# count; the binary exits non-zero when any discovery fails its output
+# checks (hits must name deployed, oracle-matching providers), which fails
+# this script.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for bench_workload in metro_query lan_fallback; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$bench_workload" --seed 1 --seconds 0 --trace 0
+done
+
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
 # a red run here reproduces locally with the printed seed.
@@ -24,7 +37,9 @@ SDS_CHAOS_SEEDS=2 SDS_RECOVERY_BOUND=30000 \
 
 # Engine equivalence: the shared-payload timing-wheel event core must
 # reproduce the pre-change engine bit-for-bit, and the partitioned engine
-# must be worker-count invariant against its own pinned golden digests.
+# must be worker-count invariant against its own pinned golden digests, and
+# the default plane (anti-entropy + query cache chaos soak, overload soak)
+# must reproduce its own pinned transcripts.
 # The quick 2-seed tests run once per worker count (1, 2, 4) so a
 # scheduling-dependent divergence is attributed to its worker count; the
 # ignored tests release the full 8-seed sweeps (release profile) over all

@@ -13,10 +13,15 @@
 //!   delivery flips the digest;
 //! * the parallel multi-seed driver must return exactly what the sequential
 //!   loop returns, at every worker count, including for full simulation
-//!   workloads.
+//!   workloads;
+//! * the *default* plane — anti-entropy sync, the registry query cache, the
+//!   overload ladder — is pinned too, so a change of representation on the
+//!   production path (not only on `SyncMode::Legacy`) must leave every
+//!   transcript bit-identical.
 
 use sds_bench::parallel;
 use sds_core::SyncMode;
+use sds_integration::overload::run_overload_soak;
 use sds_integration::soak::{run_soak, run_soak_partitioned, run_soak_with};
 
 /// Chaos-soak digests recorded from the engine *before* the shared-payload /
@@ -162,5 +167,73 @@ fn partitioned_chaos_digests_are_worker_count_invariant_all_seeds() {
             o.report.assert_clean();
             assert_eq!(o.digest, want, "seed {seed} workers {workers}");
         }
+    }
+}
+
+/// Chaos-soak digests on the default registry configuration (`run_soak`:
+/// anti-entropy replication, the 128-entry query cache, one shard; the
+/// sharded multi-worker planes are proven equal to it by
+/// `multiworker_registry.rs`). Recorded before descriptions and queries
+/// became shared `Arc` payloads; every later change of representation on
+/// the production path must reproduce them bit-for-bit.
+const DEFAULT_PLANE_GOLDENS: [(u64, u64); 8] = [
+    (0, 0x02C808680D3D9782),
+    (1, 0xE9854678B82EA2AB),
+    (2, 0xE6882F9E86881C7C),
+    (3, 0x49925F0F2912F4FD),
+    (4, 0x1F7D62FB4DFD880D),
+    (5, 0xEC2AB1C538534798),
+    (6, 0x3E1C33C3D803520B),
+    (7, 0x2E00F34F5D405649),
+];
+
+/// Default-plane pin, quick tier: the two cheap seeds.
+#[test]
+fn default_plane_chaos_digests_are_pinned() {
+    for &(seed, want) in &DEFAULT_PLANE_GOLDENS[..2] {
+        let got = run_soak(seed).digest;
+        assert_eq!(
+            got, want,
+            "seed {seed}: default-plane transcript diverged \
+             (got 0x{got:016X}, want 0x{want:016X})"
+        );
+    }
+}
+
+/// Default-plane pin, all eight seeds through the parallel driver.
+#[test]
+#[ignore = "eight release-profile soaks; run explicitly via ci.sh"]
+fn default_plane_chaos_digests_are_pinned_all_seeds() {
+    let seeds: Vec<u64> = DEFAULT_PLANE_GOLDENS.iter().map(|&(s, _)| s).collect();
+    let digests = parallel::map(&seeds, |_, &seed| run_soak(seed).digest);
+    for (&(seed, want), &got) in DEFAULT_PLANE_GOLDENS.iter().zip(&digests) {
+        assert_eq!(got, want, "seed {seed}: default-plane transcript diverged");
+    }
+}
+
+/// Overload-soak fingerprints for the two seeds `ci.sh` sweeps: a flash
+/// crowd against capacity-bounded registries with the full admission
+/// ladder, `Busy`-honouring clients and hedging, on the partitioned engine.
+/// Recorded alongside [`DEFAULT_PLANE_GOLDENS`].
+const OVERLOAD_GOLDENS: [(u64, &str); 2] = [
+    (
+        0,
+        "seed=0 offered=2128 answered=2128 busy_queries=58 busy_nacks=85 retried=1268 \
+         p50=443 p95=639 p99=1283 reg_busy=57 deduped=2 purged=0 cap_dropped=1268 \
+         cap_deferred=1106",
+    ),
+    (
+        1,
+        "seed=1 offered=2061 answered=2061 busy_queries=31 busy_nacks=46 retried=1187 \
+         p50=433 p95=636 p99=1279 reg_busy=30 deduped=1 purged=0 cap_dropped=1187 \
+         cap_deferred=1108",
+    ),
+];
+
+#[test]
+fn overload_soak_fingerprints_are_pinned() {
+    for &(seed, want) in &OVERLOAD_GOLDENS {
+        let got = run_overload_soak(seed).fingerprint;
+        assert_eq!(got, want, "seed {seed}: overload transcript diverged");
     }
 }

@@ -116,7 +116,7 @@ fn dht_and_core_service_nodes_interoperate_for_exact_keys() {
         lans[0],
         Box::new(ServiceNode::new(
             ServiceConfig::default(),
-            vec![Description::Semantic(ServiceProfile::new("radar", classes.radar_service))],
+            vec![Description::Semantic(ServiceProfile::new("radar", classes.radar_service).into())],
             Some(idx.clone()),
         )),
     );
@@ -127,12 +127,12 @@ fn dht_and_core_service_nodes_interoperate_for_exact_keys() {
     sim.with_node::<ClientNode>(client, |c, ctx| {
         c.issue_query(
             ctx,
-            QueryPayload::Semantic(ServiceRequest::for_category(classes.radar_service)),
+            QueryPayload::Semantic(ServiceRequest::for_category(classes.radar_service).into()),
             QueryOptions::default(),
         );
         c.issue_query(
             ctx,
-            QueryPayload::Semantic(ServiceRequest::for_category(classes.surveillance)),
+            QueryPayload::Semantic(ServiceRequest::for_category(classes.surveillance).into()),
             QueryOptions::default(),
         );
     });

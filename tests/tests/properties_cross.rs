@@ -54,25 +54,25 @@ fn arb_request(rng: &mut Rng, n: u32) -> ServiceRequest {
 
 fn arb_description(rng: &mut Rng, n: u32) -> Description {
     match rng.gen_range(0..3u32) {
-        0 => Description::Uri(format!("urn:svc:{}", rng.gen_range(0..6u32))),
-        1 => Description::Template(DescriptionTemplate {
+        0 => Description::Uri(format!("urn:svc:{}", rng.gen_range(0..6u32)).into()),
+        1 => Description::Template(Arc::new(DescriptionTemplate {
             name: None,
             type_uri: Some(format!("urn:svc:{}", rng.gen_range(0..6u32))),
             attrs: vec![],
-        }),
-        _ => Description::Semantic(arb_profile(rng, n)),
+        })),
+        _ => Description::Semantic(arb_profile(rng, n).into()),
     }
 }
 
 fn arb_payload(rng: &mut Rng, n: u32) -> QueryPayload {
     match rng.gen_range(0..3u32) {
-        0 => QueryPayload::Uri(format!("urn:svc:{}", rng.gen_range(0..6u32))),
-        1 => QueryPayload::Template(DescriptionTemplate {
+        0 => QueryPayload::Uri(format!("urn:svc:{}", rng.gen_range(0..6u32)).into()),
+        1 => QueryPayload::Template(Arc::new(DescriptionTemplate {
             name: None,
             type_uri: Some(format!("urn:svc:{}", rng.gen_range(0..6u32))),
             attrs: vec![],
-        }),
-        _ => QueryPayload::Semantic(arb_request(rng, n)),
+        })),
+        _ => QueryPayload::Semantic(arb_request(rng, n).into()),
     }
 }
 
@@ -136,19 +136,19 @@ fn oracle_and_registry_engine_agree() {
 /// be covered.
 #[test]
 fn regression_profile_with_out_of_taxonomy_input() {
-    let descriptions = vec![Description::Semantic(ServiceProfile {
+    let descriptions = vec![Description::Semantic(Arc::new(ServiceProfile {
         name: "p".into(),
         category: ClassId(0),
         inputs: vec![ClassId(10)],
         outputs: vec![],
         qos: vec![],
-    })];
-    let payload = QueryPayload::Semantic(ServiceRequest {
+    }))];
+    let payload = QueryPayload::Semantic(Arc::new(ServiceRequest {
         category: None,
         outputs: vec![],
         provided_inputs: vec![ClassId(0)],
         qos: vec![],
-    });
+    }));
     let (engine_hits, oracle_hits) = engine_vs_oracle(&descriptions, &payload);
     assert_eq!(engine_hits, oracle_hits);
 }
